@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race lint lint-golangci lint-custom fuzz-smoke fault-smoke daemon-smoke cache-smoke append-smoke ci bench cover figures figures-full examples clean
+.PHONY: all build vet test perfbench-test test-short race lint lint-golangci lint-custom fuzz-smoke fault-smoke daemon-smoke cache-smoke append-smoke ci bench cover figures figures-full examples clean
 
 BENCH_JSON ?= BENCH_$(shell date +%F).json
 BENCH_SHARDED_JSON ?= BENCH_shards4_$(shell date +%F).json
@@ -119,7 +119,11 @@ append-smoke:
 	sh scripts/append_smoke.sh bin/lockdown bin/tracegen append-smoke-work \
 		6c6f636b646f776e2d6661756c742d736d6f6b65 0.05
 
-ci: build vet test race lint
+# perfbench is its own module (replace repro => ../), outside ./...
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+ci: build vet test perfbench-test race lint
 
 # Go micro-benchmarks plus machine-readable end-to-end bench reports
 # (single and 4-shard batched ingest) that cmd/benchdiff can gate on. The

@@ -227,14 +227,15 @@ func run(cfg config) error {
 	if err != nil {
 		return err
 	}
-	// Replayed datasets enter the stats key by content: hashing the whole
-	// tree is what makes a single flipped input byte a different key.
+	// Replayed datasets enter the stats key by content, so a single
+	// flipped input byte is a different key; each byte is hashed once.
+	var dataset *datasetID
 	var logsDigest stagecache.Digest
 	if rc.store != nil && cfg.logs != "" {
-		logsDigest, _, err = stagecache.TreeDigest(cfg.logs)
-		if err != nil {
+		if dataset, err = identifyDataset(cfg.logs); err != nil {
 			return err
 		}
+		logsDigest = dataset.digest
 	}
 
 	// Stats stage: the finalized Dataset plus the generator ground truth.
@@ -313,7 +314,7 @@ func run(cfg config) error {
 			if statsdayEligible(cfg, rc, policy) {
 				// Incremental path: restore the deepest cached per-day
 				// checkpoint and replay only the days past it.
-				sd, err = runStatsday(cfg, rc, reg, opts, replayOpts)
+				sd, err = runStatsday(cfg, rc, reg, opts, replayOpts, dataset)
 				if err != nil {
 					return err
 				}

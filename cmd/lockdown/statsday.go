@@ -57,6 +57,40 @@ func (rc *runCache) statsdayKey(cfg config, prev stagecache.Digest, day string, 
 	return h.Sum()
 }
 
+// datasetID is a replayed dataset's content identity, computed once per
+// run so every dataset byte is hashed once. A rotated dataset is its
+// per-day TreeDigests: the statsday chain keys on each day's digest and
+// the stats key on their combination, so a root file replay never reads
+// (a COMPLETE marker) moves no key while a flipped byte in any day does.
+// A flat dataset is one TreeDigest of its directory.
+type datasetID struct {
+	digest     stagecache.Digest   // the stats key's dataset input
+	days       []string            // rotated: day directories in date order
+	dayDigests []stagecache.Digest // rotated: days[i]'s TreeDigest
+}
+
+func identifyDataset(root string) (*datasetID, error) {
+	if !rotatedLayout(root) {
+		digest, _, err := stagecache.TreeDigest(root)
+		return &datasetID{digest: digest}, err
+	}
+	days, err := logsink.DayDirs(root)
+	if err != nil {
+		return nil, err
+	}
+	id := &datasetID{days: days, dayDigests: make([]stagecache.Digest, len(days))}
+	h := stagecache.NewHasher("lockdown/dataset")
+	for i, d := range days {
+		if id.dayDigests[i], _, err = stagecache.TreeDigest(filepath.Join(root, d)); err != nil {
+			return nil, err
+		}
+		h.String("day", d)
+		h.Digest("tree", id.dayDigests[i])
+	}
+	id.digest = h.Sum()
+	return id, nil
+}
+
 // statsdayResult reports one incremental replay: the pipeline ready to
 // Finalize, the probe accounting behind the `statsday:` status line (the
 // CI append-smoke assertion surface), and the seal/merge timings for the
@@ -77,24 +111,18 @@ func (r *statsdayResult) line() string {
 }
 
 // runStatsday replays a rotated dataset through the per-day checkpoint
-// cache: derive every day's chained key, probe backward for the deepest
-// cached checkpoint, restore (or start fresh), replay and seal only the
-// remaining days, cross-check the merged partials against the pipeline's
-// cumulative stats, and publish the final day's checkpoint for the next
-// run. The caller finalizes the returned pipeline.
-func runStatsday(cfg config, rc *runCache, reg *universe.Registry, opts core.Options, replayOpts logsink.ReplayOptions) (*statsdayResult, error) {
-	days, err := logsink.DayDirs(cfg.logs)
-	if err != nil {
-		return nil, err
-	}
+// cache: derive every day's chained key from the dataset's per-day
+// digests, probe backward for the deepest cached checkpoint, restore (or
+// start fresh), replay and seal only the remaining days, cross-check the
+// merged partials against the pipeline's cumulative stats, and publish
+// the final day's checkpoint for the next run. The caller finalizes the
+// returned pipeline.
+func runStatsday(cfg config, rc *runCache, reg *universe.Registry, opts core.Options, replayOpts logsink.ReplayOptions, dataset *datasetID) (*statsdayResult, error) {
+	days := dataset.days
 	keys := make([]stagecache.Digest, len(days))
 	var prev stagecache.Digest
 	for i, d := range days {
-		dayDigest, _, err := stagecache.TreeDigest(filepath.Join(cfg.logs, d))
-		if err != nil {
-			return nil, err
-		}
-		keys[i] = rc.statsdayKey(cfg, prev, d, dayDigest)
+		keys[i] = rc.statsdayKey(cfg, prev, d, dataset.dayDigests[i])
 		prev = keys[i]
 	}
 
@@ -121,8 +149,8 @@ func runStatsday(cfg config, rc *runCache, reg *universe.Registry, opts core.Opt
 		res.misses++
 	}
 	if pipe == nil {
-		pipe, err = core.NewPipeline(reg, opts)
-		if err != nil {
+		var err error
+		if pipe, err = core.NewPipeline(reg, opts); err != nil {
 			return nil, err
 		}
 	}

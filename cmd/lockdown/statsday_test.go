@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -136,5 +137,55 @@ func TestStatsdayEligibility(t *testing.T) {
 	}
 	if statsdayEligible(base, &runCache{}, faultline.PolicyStrict) {
 		t.Error("no cache store: eligible, want gated off")
+	}
+}
+
+// TestRotatedDatasetIdentity pins a rotated dataset's cache identity to
+// its per-day content: a stray file at the dataset root, which replay
+// never reads (the tail's COMPLETE marker), still hits the stats stage,
+// while one flipped byte in any day misses it.
+func TestRotatedDatasetIdentity(t *testing.T) {
+	logsDir := writeRotatedTestLogs(t, 40, 43)
+	base := cacheTestConfig(t, t.TempDir())
+	base.scale = 0.002
+	base.logs = logsDir
+	runFresh := func() string {
+		cfg := base
+		cfg.out = t.TempDir()
+		return runCached(t, cfg)
+	}
+	statusHas(t, "cold", runFresh(), "stats=miss")
+
+	if err := os.WriteFile(filepath.Join(logsDir, logsink.TailSentinel), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	statusHas(t, "stray root file", runFresh(), "stats=hit")
+
+	days, err := logsink.DayDirs(logsDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, day := range days {
+		// Flip the last digit of the day's first conn record: the log
+		// still parses, but the day's content differs.
+		path := filepath.Join(logsDir, day, logsink.ConnFile)
+		orig, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := 0
+		for orig[i] == '#' {
+			i += bytes.IndexByte(orig[i:], '\n') + 1
+		}
+		i += bytes.IndexByte(orig[i:], '\n') - 1
+		flipped := append([]byte(nil), orig...)
+		flipped[i] = '0' + (orig[i]-'0'+1)%10
+		if err := os.WriteFile(path, flipped, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		statusHas(t, "flipped byte in "+day, runFresh(), "stats=miss")
+		if err := os.WriteFile(path, orig, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

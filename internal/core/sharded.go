@@ -270,9 +270,12 @@ func (sp *ShardedPipeline) RingStates() []obs.RingState {
 	return out
 }
 
-// DeviceID exposes the shared pseudonym mapping (all shards agree).
+// DeviceID exposes the shared pseudonym mapping (all shards agree). It
+// derives the pseudonym from the shared key without touching shard state
+// — a shard's pseudonym cache belongs to its worker — so it is safe to
+// call from the ingest goroutine while batches are in flight.
 func (sp *ShardedPipeline) DeviceID(m packet.MAC) anonymize.DeviceID {
-	return sp.shards[0].DeviceID(m)
+	return sp.shards[0].pseudo.Device(m)
 }
 
 // slot returns the next free slot of a shard's open batch. The caller

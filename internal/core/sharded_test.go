@@ -4,6 +4,10 @@ import (
 	"testing"
 
 	"repro/internal/campus"
+	"repro/internal/dhcp"
+	"repro/internal/dnssim"
+	"repro/internal/flow"
+	"repro/internal/httplog"
 	"repro/internal/trace"
 	"repro/internal/universe"
 )
@@ -135,5 +139,64 @@ func BenchmarkShardedPipelineThroughput(b *testing.B) {
 		if err := gen.RunDays(sp, day, day+1); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// eventLog is a trace.Sink that records a generated stream for replay.
+type eventLog struct{ events []trace.Event }
+
+func (l *eventLog) Flow(r flow.Record) {
+	l.events = append(l.events, trace.Event{Kind: trace.EventFlow, Flow: r})
+}
+func (l *eventLog) DNS(e dnssim.Entry) {
+	l.events = append(l.events, trace.Event{Kind: trace.EventDNS, DNS: e})
+}
+func (l *eventLog) HTTPMeta(e httplog.Entry) {
+	l.events = append(l.events, trace.Event{Kind: trace.EventHTTP, HTTP: e})
+}
+func (l *eventLog) Lease(ls dhcp.Lease) {
+	l.events = append(l.events, trace.Event{Kind: trace.EventLease, Lease: ls})
+}
+
+// TestShardedDeviceIDDuringIngest calls DeviceID from the ingest goroutine
+// while shard workers are still applying batches — what the truth rebuild
+// in cmd/lockdown does before Finalize. The recorded stream is fed in
+// faster than the workers apply it, so batches are in flight when the
+// pseudonyms are asked for; under -race the test fails if DeviceID
+// touches shard-owned state. In every mode the pseudonyms must match a
+// single pipeline's.
+func TestShardedDeviceIDDuringIngest(t *testing.T) {
+	reg, err := universe.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := trace.DefaultConfig()
+	cfg.Scale = 0.005
+	gen, err := trace.New(cfg, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &eventLog{}
+	if err := gen.RunDays(rec, 20, 22); err != nil {
+		t.Fatal(err)
+	}
+	key := []byte("sharded-deviceid-key-0123456789ab")
+	single, err := NewPipeline(reg, Options{Key: key})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := NewShardedPipeline(reg, Options{Key: key}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp.EventBatch(rec.events)
+	sp.Flush()
+	for _, d := range gen.Devices() {
+		if got, want := sp.DeviceID(d.MAC), single.DeviceID(d.MAC); got != want {
+			t.Fatalf("DeviceID(%v) = %v, want %v", d.MAC, got, want)
+		}
+	}
+	if ds := sp.Finalize(); ds.Stats.FlowsProcessed == 0 {
+		t.Fatal("degenerate run: no flows")
 	}
 }

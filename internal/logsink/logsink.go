@@ -11,7 +11,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"time"
 
 	"repro/internal/dhcp"
 	"repro/internal/dnssim"
@@ -132,8 +131,8 @@ func (w *Writer) Close() error {
 	return w.err
 }
 
-// openLog opens a dataset log, preferring the plain file and falling back
-// to the gzipped variant.
+// openLog is the batch opener: it opens a finished dataset log, preferring
+// the plain file and falling back to the gzipped variant.
 func openLog(dir, name string) (io.ReadCloser, error) {
 	if f, err := os.Open(filepath.Join(dir, name)); err == nil {
 		return f, nil
@@ -185,6 +184,18 @@ func (o ReplayOptions) inject(r io.Reader, name string) io.Reader {
 	return faultline.NewReader(r, o.Inject.Sub(name))
 }
 
+// day returns the options for one day directory of a rotated dataset:
+// injection sub-seeds per day here, then per file in inject, so corruption
+// is independent across every file of the dataset and a day sees the same
+// corruption however it is replayed.
+func (o ReplayOptions) day(d string) ReplayOptions {
+	if o.Inject != nil {
+		sub := o.Inject.Sub(d)
+		o.Inject = &sub
+	}
+	return o
+}
+
 // lenient reports whether decode errors are survivable (duplicate
 // detection is only worth its comparison cost then).
 func (o ReplayOptions) lenient() bool {
@@ -207,230 +218,25 @@ func Replay(dir string, sink trace.Sink) error {
 // lenient policy, adjacent identical records (the duplicated-write fault)
 // are detected per stream and dropped as decodeerr.Duplicate.
 func ReplayWithOptions(dir string, sink trace.Sink, opts ReplayOptions) error {
-	if err := replayLeases(dir, sink, opts); err != nil {
-		return err
-	}
-	return replayMerged(dir, sink, opts)
+	return replayLeasesFirst(sink, []string{dir}, []ReplayOptions{opts})
 }
 
-// replayLeases streams the day's DHCP log into sink under the fault layer.
-func replayLeases(dir string, sink trace.Sink, opts ReplayOptions) error {
-	g := opts.Guard
-	lenient := opts.lenient()
-	dhcpF, err := openLog(dir, DHCPFile)
-	if err != nil {
-		return err
-	}
-	defer dhcpF.Close()
-	dhcpR, err := dhcp.NewLogReader(opts.inject(dhcpF, DHCPFile))
-	if err != nil {
-		return fmt.Errorf("dhcp.log: %w", err)
-	}
-	var prevLease string
-	for {
-		l, err := dhcpR.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			if rerr := g.Reject("dhcp", dhcpR.Raw(), err); rerr != nil {
-				return rerr
-			}
-			continue
-		}
-		if lenient {
-			if raw := dhcpR.Raw(); raw != "" && raw == prevLease {
-				if rerr := g.RejectDuplicate("dhcp", dhcpR.Line(), raw); rerr != nil {
-					return rerr
-				}
-				continue
-			} else {
-				prevLease = raw
-			}
-		}
-		g.Accept()
-		sink.Lease(l)
-	}
-}
-
-// replayMerged streams the day's traffic logs (conn, dns, http) into sink
-// as a timestamp-ordered three-way merge under the fault layer.
-func replayMerged(dir string, sink trace.Sink, opts ReplayOptions) error {
-	out := trace.NewBatcher(sink)
-	g := opts.Guard
-	lenient := opts.lenient()
-
-	connF, err := openLog(dir, ConnFile)
-	if err != nil {
-		return err
-	}
-	defer connF.Close()
-	dnsF, err := openLog(dir, DNSFile)
-	if err != nil {
-		return err
-	}
-	defer dnsF.Close()
-	httpF, err := openLog(dir, HTTPFile)
-	if err != nil {
-		return err
-	}
-	defer httpF.Close()
-
-	connR, err := zeeklog.NewConnReader(opts.inject(connF, ConnFile))
-	if err != nil {
-		return fmt.Errorf("conn.log: %w", err)
-	}
-	dnsR, err := dnssim.NewLogReader(opts.inject(dnsF, DNSFile))
-	if err != nil {
-		return fmt.Errorf("dns.log: %w", err)
-	}
-	httpR, err := httplog.NewReader(opts.inject(httpF, HTTPFile))
-	if err != nil {
-		return fmt.Errorf("http.log: %w", err)
-	}
-
-	// Three-way merge by timestamp.
-	var (
-		curFlow  flow.Record
-		curDNS   dnssim.Entry
-		curHTTP  httplog.Entry
-		haveFlow bool
-		haveDNS  bool
-		haveHTTP bool
-		prevConn string
-		prevDNS  string
-		prevHTTP string
-	)
-	advanceFlow := func() error {
-		for {
-			r, err := connR.Next()
-			if err == io.EOF {
-				haveFlow = false
-				return nil
-			}
-			if err != nil {
-				if rerr := g.Reject("conn", connR.Raw(), err); rerr != nil {
-					return rerr
-				}
-				continue
-			}
-			if lenient {
-				if raw := connR.Raw(); raw != "" && raw == prevConn {
-					if rerr := g.RejectDuplicate("conn", connR.Line(), raw); rerr != nil {
-						return rerr
-					}
-					continue
-				} else {
-					prevConn = raw
-				}
-			}
-			g.Accept()
-			curFlow, haveFlow = r, true
-			return nil
+// replayLeasesFirst is the whole-dataset order: the lease log of every
+// directory in turn, then each directory's traffic (conn, dns, http) as a
+// timestamp merge flushed at the directory's end. One Batcher and one
+// guard span the whole replay; opts[i] configures dirs[i].
+func replayLeasesFirst(sink trace.Sink, dirs []string, opts []ReplayOptions) error {
+	rp := newReplay(sink, openLog)
+	for i, dir := range dirs {
+		if err := rp.pass(dir, opts[i], DHCPFile); err != nil {
+			return err
 		}
 	}
-	advanceDNS := func() error {
-		for {
-			e, err := dnsR.Next()
-			if err == io.EOF {
-				haveDNS = false
-				return nil
-			}
-			if err != nil {
-				if rerr := g.Reject("dns", dnsR.Raw(), err); rerr != nil {
-					return rerr
-				}
-				continue
-			}
-			if lenient {
-				if raw := dnsR.Raw(); raw != "" && raw == prevDNS {
-					if rerr := g.RejectDuplicate("dns", dnsR.Line(), raw); rerr != nil {
-						return rerr
-					}
-					continue
-				} else {
-					prevDNS = raw
-				}
-			}
-			g.Accept()
-			curDNS, haveDNS = e, true
-			return nil
+	for i, dir := range dirs {
+		if err := rp.pass(dir, opts[i], ConnFile, DNSFile, HTTPFile); err != nil {
+			return err
 		}
+		rp.out.Flush()
 	}
-	advanceHTTP := func() error {
-		for {
-			e, err := httpR.Next()
-			if err == io.EOF {
-				haveHTTP = false
-				return nil
-			}
-			if err != nil {
-				if rerr := g.Reject("http", httpR.Raw(), err); rerr != nil {
-					return rerr
-				}
-				continue
-			}
-			if lenient {
-				if raw := httpR.Raw(); raw != "" && raw == prevHTTP {
-					if rerr := g.RejectDuplicate("http", httpR.Line(), raw); rerr != nil {
-						return rerr
-					}
-					continue
-				} else {
-					prevHTTP = raw
-				}
-			}
-			g.Accept()
-			curHTTP, haveHTTP = e, true
-			return nil
-		}
-	}
-	if err := advanceFlow(); err != nil {
-		return err
-	}
-	if err := advanceDNS(); err != nil {
-		return err
-	}
-	if err := advanceHTTP(); err != nil {
-		return err
-	}
-	// Day-rollover flushes tag batch epochs onto the replay stream the way
-	// the generator's per-day flushes do for live traces: each UTC day
-	// boundary becomes a stream boundary, so a batch-capable sink (the
-	// sharded pipeline) seals and publishes its join-table delta at least
-	// once per replayed day instead of only at end of input.
-	var curDay time.Time
-	rollDay := func(t time.Time) {
-		day := t.UTC().Truncate(24 * time.Hour)
-		if !curDay.IsZero() && day.After(curDay) {
-			out.Flush()
-		}
-		curDay = day
-	}
-	for haveFlow || haveDNS || haveHTTP {
-		// Pick the earliest of the available heads; DNS wins ties so
-		// resolutions precede the flows they label.
-		switch {
-		case haveDNS && (!haveFlow || !curFlow.Start.Before(curDNS.Time)) && (!haveHTTP || !curHTTP.Time.Before(curDNS.Time)):
-			rollDay(curDNS.Time)
-			out.DNS(curDNS)
-			if err := advanceDNS(); err != nil {
-				return err
-			}
-		case haveFlow && (!haveHTTP || !curHTTP.Time.Before(curFlow.Start)):
-			rollDay(curFlow.Start)
-			out.Flow(curFlow)
-			if err := advanceFlow(); err != nil {
-				return err
-			}
-		default:
-			rollDay(curHTTP.Time)
-			out.HTTPMeta(curHTTP)
-			if err := advanceHTTP(); err != nil {
-				return err
-			}
-		}
-	}
-	out.Flush()
 	return nil
 }

@@ -117,57 +117,38 @@ func ReplayRotated(root string, sink trace.Sink) error {
 // matching a multi-month run); injection sub-seeds per day directory, then
 // per file, so corruption is independent across every file of the dataset.
 func ReplayRotatedWithOptions(root string, sink trace.Sink, opts ReplayOptions) error {
-	entries, err := os.ReadDir(root)
+	days, err := DayDirs(root)
 	if err != nil {
 		return err
 	}
-	var days []string
-	for _, e := range entries {
-		if e.IsDir() {
-			days = append(days, e.Name())
-		}
+	dirs := make([]string, len(days))
+	dayOpts := make([]ReplayOptions, len(days))
+	for i, d := range days {
+		dirs[i], dayOpts[i] = filepath.Join(root, d), opts.day(d)
 	}
-	if len(days) == 0 {
-		return fmt.Errorf("logsink: no day directories under %s", root)
-	}
-	sort.Strings(days) // YYYY-MM-DD sorts chronologically
-	dayOpts := func(d string) ReplayOptions {
-		o := opts
-		if opts.Inject != nil {
-			sub := opts.Inject.Sub(d)
-			o.Inject = &sub
-		}
-		return o
-	}
-	// Pass 1: leases.
-	for _, d := range days {
-		if err := replayLeases(filepath.Join(root, d), sink, dayOpts(d)); err != nil {
-			return err
-		}
-	}
-	// Pass 2: traffic, day by day. The dhcp logs are not re-read (pass 1
-	// consumed them), so leases are neither double-offered to the guard
-	// nor double-counted by the injector; leaseless keeps any stray lease
-	// out of the sink regardless.
-	for _, d := range days {
-		if err := replayMerged(filepath.Join(root, d), &leaseless{sink}, dayOpts(d)); err != nil {
-			return err
-		}
-	}
-	return nil
+	return replayLeasesFirst(sink, dirs, dayOpts)
 }
 
-// leaseless forwards everything except leases (already replayed globally).
-type leaseless struct{ trace.Sink }
-
-func (l *leaseless) Lease(dhcp.Lease) {}
-
 // DayDirs returns the dataset's day directory names under root in date
-// order (YYYY-MM-DD sorts chronologically) — the unit the per-day stats
-// cache keys and replays.
+// order — the unit the per-day stats cache keys and replays. Unlike the
+// tail's listing, a missing or empty root is an error here.
 func DayDirs(root string) ([]string, error) {
+	days, err := dayDirs(root)
+	if err == nil && len(days) == 0 {
+		err = fmt.Errorf("logsink: no day directories under %s", root)
+	}
+	return days, err
+}
+
+// dayDirs lists root's day directories in chronological (lexical) order.
+// A root that does not exist yet is an empty dataset, not an error — a
+// tailed dataset's writer may not have started.
+func dayDirs(root string) ([]string, error) {
 	entries, err := os.ReadDir(root)
 	if err != nil {
+		if os.IsNotExist(err) {
+			return nil, nil
+		}
 		return nil, err
 	}
 	var days []string
@@ -176,36 +157,27 @@ func DayDirs(root string) ([]string, error) {
 			days = append(days, e.Name())
 		}
 	}
-	if len(days) == 0 {
-		return nil, fmt.Errorf("logsink: no day directories under %s", root)
-	}
-	sort.Strings(days)
+	sort.Strings(days) // YYYY-MM-DD sorts chronologically
 	return days, nil
 }
 
-// ReplayRotatedDay replays exactly one day directory: its lease log first,
-// then its merged traffic (with leases filtered out of the merged pass,
-// mirroring ReplayRotatedWithOptions). Injection sub-seeds per day the
-// same way the whole-dataset replay does, so a given day's stream is
-// byte-for-byte the one ReplayRotatedWithOptions would feed for that day.
+// ReplayRotatedDay replays exactly one day directory as one timestamp
+// merge of its four logs: leases interleaved with the traffic, winning
+// ties. It is the very call one day of TailRotated makes, with the batch
+// opener instead of the tail's, so a one-day append and a daemon epoch
+// feed the pipeline an identical event stream. Injection sub-seeds per
+// day as the whole-dataset replay does, so the day sees the same
+// corruption either way.
 //
-// Replaying days one at a time (day d's leases immediately before day d's
-// traffic) is equivalent to the whole-dataset order (all leases, then all
-// traffic) for every lookup the pipeline performs: a lease can only match
-// timestamps at or after its start, so leases from later days are
-// invisible to earlier traffic, and a renewal that coalesces with a span
-// from an earlier day only extends its end — affecting only lookups at or
-// after the renewal day. The daemon's live tail ingests in exactly this
-// per-day order and its CI parity check pins the equivalence end to end.
+// Replaying days one at a time this way is equivalent to the
+// whole-dataset order (all leases, then all traffic) for every lookup the
+// pipeline performs: a lease can only match timestamps at or after its
+// start, so a lease delivered after traffic that precedes it is invisible
+// to that traffic, and a renewal that coalesces with a span from an
+// earlier day only extends its end — affecting only lookups at or after
+// the renewal. Leases still arrive in global start order. The tail parity
+// tests and the CI append and daemon smokes pin the equivalence end to
+// end.
 func ReplayRotatedDay(root, day string, sink trace.Sink, opts ReplayOptions) error {
-	o := opts
-	if opts.Inject != nil {
-		sub := opts.Inject.Sub(day)
-		o.Inject = &sub
-	}
-	dir := filepath.Join(root, day)
-	if err := replayLeases(dir, sink, o); err != nil {
-		return err
-	}
-	return replayMerged(dir, &leaseless{sink}, o)
+	return replayDay(root, day, sink, opts, openLog)
 }

@@ -6,20 +6,14 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
-	"repro/internal/dhcp"
-	"repro/internal/dnssim"
-	"repro/internal/flow"
-	"repro/internal/httplog"
 	"repro/internal/trace"
-	"repro/internal/zeeklog"
 )
 
-// TailSentinel is the default marker file name: its existence under a
-// rotated dataset root declares the dataset complete (the writer will
-// append no further bytes and create no further day directories).
+// TailSentinel is the marker file name: its existence under a rotated
+// dataset root declares the dataset complete (the writer will append no
+// further bytes and create no further day directories).
 const TailSentinel = "COMPLETE"
 
 // ErrTailStopped is returned by TailRotated when its Stop channel closes.
@@ -41,9 +35,6 @@ type TailOptions struct {
 	// Stop, when closed, aborts the tail with ErrTailStopped at the next
 	// poll boundary.
 	Stop <-chan struct{}
-	// Sentinel overrides the completion marker file name (default
-	// TailSentinel).
-	Sentinel string
 	// OnDaySealed, when non-nil, is called after each day directory has
 	// been fully replayed into the sink (and the sink's batcher flushed —
 	// a batch-capable sink has sealed the day's epoch). final is true
@@ -53,16 +44,15 @@ type TailOptions struct {
 
 // TailRotated follows a growing rotated dataset under root, streaming
 // events into sink as the writer produces them, and returns once the
-// sentinel file declares the dataset complete (or with ErrTailStopped on
-// Stop). It is the live-ingest counterpart of ReplayRotatedWithOptions
-// and produces the same event stream with one documented difference:
-// DHCP leases are merged into each day's traffic in timestamp order
-// (winning ties) instead of being replayed in a global first pass — a
-// tail cannot read future days. The result is equivalent: every lease
-// lookup is time-aware, a lease starting after t never matches nor
-// terminates a lookup at t, and leases still arrive in global start
-// order, so attribution, coalescing, and the final dataset are identical
-// (the tail parity tests pin this).
+// TailSentinel file declares the dataset complete (or with ErrTailStopped
+// on Stop). Each day is replayed by exactly the call ReplayRotatedDay
+// makes, with a blocking opener in place of the batch one, so the tail
+// feeds the sink the same per-day stream a one-day append does. Against
+// ReplayRotatedWithOptions the one difference is that DHCP leases are
+// merged into each day's traffic in timestamp order (winning ties)
+// instead of being replayed in a global first pass — a tail cannot read
+// future days. The result is equivalent (see ReplayRotatedDay; the tail
+// parity tests pin it).
 //
 // Within a day the tail blocks at end-of-file until more bytes arrive: a
 // torn final line means "the writer is mid-append" and parsing resumes
@@ -79,20 +69,7 @@ func TailRotated(root string, sink trace.Sink, opts TailOptions) error {
 	if poll <= 0 {
 		poll = 200 * time.Millisecond
 	}
-	sentinel := opts.Sentinel
-	if sentinel == "" {
-		sentinel = TailSentinel
-	}
-	sentinelPath := filepath.Join(root, sentinel)
-
-	dayOpts := func(d string) ReplayOptions {
-		o := opts.ReplayOptions
-		if o.Inject != nil {
-			sub := o.Inject.Sub(d)
-			o.Inject = &sub
-		}
-		return o
-	}
+	sentinelPath := filepath.Join(root, TailSentinel)
 
 	seen := 0 // day directories fully replayed so far
 	for {
@@ -104,14 +81,14 @@ func TailRotated(root string, sink trace.Sink, opts TailOptions) error {
 		if seen < len(days) {
 			day := days[seen]
 			next := seen + 1
-			final := func() bool {
+			t := &tailer{poll: poll, stop: opts.Stop, final: func() bool {
 				if fileExists(sentinelPath) {
 					return true
 				}
 				ds, err := dayDirs(root)
 				return err == nil && len(ds) > next
-			}
-			if err := tailDay(filepath.Join(root, day), sink, dayOpts(day), poll, opts.Stop, final); err != nil {
+			}}
+			if err := replayDay(root, day, sink, opts.ReplayOptions, t.open); err != nil {
 				return err
 			}
 			seen = next
@@ -136,30 +113,51 @@ func TailRotated(root string, sink trace.Sink, opts TailOptions) error {
 	}
 }
 
-// dayDirs lists root's day directories in chronological (lexical) order.
-// A root that does not exist yet is an empty dataset, not an error — the
-// writer may not have started.
-func dayDirs(root string) ([]string, error) {
-	entries, err := os.ReadDir(root)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	var days []string
-	for _, e := range entries {
-		if e.IsDir() {
-			days = append(days, e.Name())
-		}
-	}
-	sort.Strings(days) // YYYY-MM-DD sorts chronologically
-	return days, nil
-}
-
 func fileExists(path string) bool {
 	_, err := os.Stat(path)
 	return err == nil
+}
+
+// tailer is the tail's opener for one day: it waits for each log to
+// appear and hands back a blocking tailReader over it. final reports
+// whether the day can still grow.
+type tailer struct {
+	poll  time.Duration
+	stop  <-chan struct{}
+	final func() bool
+}
+
+// open opens one log for tailing, waiting for the file to appear (a
+// freshly rotated day directory may not have all files yet).
+func (t *tailer) open(dir, name string) (io.ReadCloser, error) {
+	for {
+		f, err := os.Open(filepath.Join(dir, name))
+		if err == nil {
+			return &tailReader{tailer: t, f: f}, nil
+		}
+		if !os.IsNotExist(err) {
+			return nil, err
+		}
+		if fileExists(filepath.Join(dir, name+".gz")) {
+			return nil, fmt.Errorf("logsink: %s is gzip-compressed in %s; tail mode requires plain logs", name, dir)
+		}
+		if t.final() {
+			return nil, fmt.Errorf("logsink: %s missing in finalized day directory %s", name, dir)
+		}
+		if err := t.wait(); err != nil {
+			return nil, err
+		}
+	}
+}
+
+// wait sleeps one poll interval, or returns ErrTailStopped on stop.
+func (t *tailer) wait() error {
+	select {
+	case <-t.stop:
+		return ErrTailStopped
+	case <-time.After(t.poll):
+		return nil
+	}
 }
 
 // tailReader is a blocking reader over one growing log file: at
@@ -171,11 +169,9 @@ func fileExists(path string) bool {
 // contract: an incomplete final line waits for the writer instead of
 // decoding as truncated.
 type tailReader struct {
-	f     *os.File
-	poll  time.Duration
-	stop  <-chan struct{}
-	final func() bool
-	fin   bool // finality observed before the previous empty read
+	*tailer
+	f   *os.File
+	fin bool // finality observed before the previous empty read
 }
 
 func (r *tailReader) Read(p []byte) (int, error) {
@@ -196,199 +192,10 @@ func (r *tailReader) Read(p []byte) (int, error) {
 			r.fin = true
 			continue
 		}
-		select {
-		case <-r.stop:
-			return 0, ErrTailStopped
-		case <-time.After(r.poll):
+		if err := r.wait(); err != nil {
+			return 0, err
 		}
 	}
 }
 
 func (r *tailReader) Close() error { return r.f.Close() }
-
-// openTail opens one log for tailing, waiting for the file to appear (a
-// freshly rotated day directory may not have all files yet).
-func openTail(dir, name string, poll time.Duration, stop <-chan struct{}, final func() bool) (io.ReadCloser, error) {
-	for {
-		f, err := os.Open(filepath.Join(dir, name))
-		if err == nil {
-			return &tailReader{f: f, poll: poll, stop: stop, final: final}, nil
-		}
-		if !os.IsNotExist(err) {
-			return nil, err
-		}
-		if fileExists(filepath.Join(dir, name+".gz")) {
-			return nil, fmt.Errorf("logsink: %s is gzip-compressed in %s; tail mode requires plain logs", name, dir)
-		}
-		if final() {
-			return nil, fmt.Errorf("logsink: %s missing in finalized day directory %s", name, dir)
-		}
-		select {
-		case <-stop:
-			return nil, ErrTailStopped
-		case <-time.After(poll):
-		}
-	}
-}
-
-// logStream is the shape every per-file reader shares (conn, dns, dhcp,
-// http): typed record iteration plus the raw line and line number the
-// guard reports on rejects.
-type logStream[T any] interface {
-	Next() (T, error)
-	Raw() string
-	Line() int
-}
-
-// streamHead is the merge head of one tailed stream.
-type streamHead[T any] struct {
-	cur  T
-	ok   bool
-	prev string // previous raw line, for lenient duplicate detection
-}
-
-// advanceHead fills a merge head with the stream's next accepted record,
-// applying the guard policy and (under lenient policies) adjacent-
-// duplicate detection — the same per-record loop batch replay runs.
-func advanceHead[T any](h *streamHead[T], r logStream[T], source string, opts ReplayOptions) error {
-	g := opts.Guard
-	lenient := opts.lenient()
-	for {
-		v, err := r.Next()
-		if err == io.EOF {
-			h.ok = false
-			return nil
-		}
-		if err != nil {
-			if rerr := g.Reject(source, r.Raw(), err); rerr != nil {
-				return rerr
-			}
-			continue
-		}
-		if lenient {
-			if raw := r.Raw(); raw != "" && raw == h.prev {
-				if rerr := g.RejectDuplicate(source, r.Line(), raw); rerr != nil {
-					return rerr
-				}
-				continue
-			} else {
-				h.prev = raw
-			}
-		}
-		g.Accept()
-		h.cur, h.ok = v, true
-		return nil
-	}
-}
-
-// tailDay streams one day directory into sink as a timestamp-ordered
-// four-way merge (leases win ties, then DNS, then flows, then HTTP — so
-// a binding precedes the flows it attributes and a resolution precedes
-// the flows it labels), blocking at each file's tail until the day is
-// final. The sink's batcher is flushed at day end, which is the epoch
-// seal for a batch-capable sink.
-func tailDay(dir string, sink trace.Sink, opts ReplayOptions, poll time.Duration, stop <-chan struct{}, final func() bool) error {
-	open := func(name string) (io.ReadCloser, error) {
-		return openTail(dir, name, poll, stop, final)
-	}
-	dhcpF, err := open(DHCPFile)
-	if err != nil {
-		return err
-	}
-	defer dhcpF.Close()
-	connF, err := open(ConnFile)
-	if err != nil {
-		return err
-	}
-	defer connF.Close()
-	dnsF, err := open(DNSFile)
-	if err != nil {
-		return err
-	}
-	defer dnsF.Close()
-	httpF, err := open(HTTPFile)
-	if err != nil {
-		return err
-	}
-	defer httpF.Close()
-
-	// The header reads at construction block until the writer has written
-	// each file's schema line; header errors stay fatal under every
-	// policy, exactly as in batch replay.
-	dhcpR, err := dhcp.NewLogReader(opts.inject(dhcpF, DHCPFile))
-	if err != nil {
-		return fmt.Errorf("dhcp.log: %w", err)
-	}
-	connR, err := zeeklog.NewConnReader(opts.inject(connF, ConnFile))
-	if err != nil {
-		return fmt.Errorf("conn.log: %w", err)
-	}
-	dnsR, err := dnssim.NewLogReader(opts.inject(dnsF, DNSFile))
-	if err != nil {
-		return fmt.Errorf("dns.log: %w", err)
-	}
-	httpR, err := httplog.NewReader(opts.inject(httpF, HTTPFile))
-	if err != nil {
-		return fmt.Errorf("http.log: %w", err)
-	}
-
-	var (
-		lease streamHead[dhcp.Lease]
-		fl    streamHead[flow.Record]
-		dn    streamHead[dnssim.Entry]
-		ht    streamHead[httplog.Entry]
-	)
-	if err := advanceHead(&lease, dhcpR, "dhcp", opts); err != nil {
-		return err
-	}
-	if err := advanceHead(&fl, connR, "conn", opts); err != nil {
-		return err
-	}
-	if err := advanceHead(&dn, dnsR, "dns", opts); err != nil {
-		return err
-	}
-	if err := advanceHead(&ht, httpR, "http", opts); err != nil {
-		return err
-	}
-
-	out := trace.NewBatcher(sink)
-	for lease.ok || fl.ok || dn.ok || ht.ok {
-		// Earliest timestamp wins; on ties the earlier consider call wins,
-		// encoding the lease > DNS > flow > HTTP priority.
-		best := 0
-		var bt time.Time
-		consider := func(code int, ok bool, t time.Time) {
-			if ok && (best == 0 || t.Before(bt)) {
-				best, bt = code, t
-			}
-		}
-		consider(1, lease.ok, lease.cur.Start)
-		consider(2, dn.ok, dn.cur.Time)
-		consider(3, fl.ok, fl.cur.Start)
-		consider(4, ht.ok, ht.cur.Time)
-		switch best {
-		case 1:
-			out.Lease(lease.cur)
-			if err := advanceHead(&lease, dhcpR, "dhcp", opts); err != nil {
-				return err
-			}
-		case 2:
-			out.DNS(dn.cur)
-			if err := advanceHead(&dn, dnsR, "dns", opts); err != nil {
-				return err
-			}
-		case 3:
-			out.Flow(fl.cur)
-			if err := advanceHead(&fl, connR, "conn", opts); err != nil {
-				return err
-			}
-		default:
-			out.HTTPMeta(ht.cur)
-			if err := advanceHead(&ht, httpR, "http", opts); err != nil {
-				return err
-			}
-		}
-	}
-	out.Flush()
-	return nil
-}

@@ -11,7 +11,11 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dhcp"
+	"repro/internal/dnssim"
 	"repro/internal/faultline"
+	"repro/internal/flow"
+	"repro/internal/httplog"
 	"repro/internal/trace"
 	"repro/internal/universe"
 )
@@ -134,6 +138,77 @@ func TestTailRotatedMatchesReplayStatic(t *testing.T) {
 	for i := range want.Devices {
 		if !reflect.DeepEqual(want.Devices[i], gotDS.Devices[i]) {
 			t.Fatalf("device %d diverges:\nbatch %+v\ntail  %+v", i, want.Devices[i], gotDS.Devices[i])
+		}
+	}
+}
+
+// recorder is a trace.BatchSink that logs every event it receives, through
+// either delivery path, plus a marker per Flush: the whole stream a sink
+// observes, batch boundaries included.
+type recorder struct{ log []trace.Event }
+
+// flushMark is the recorder's Flush marker kind.
+const flushMark trace.EventKind = 255
+
+func (r *recorder) Flow(f flow.Record) {
+	r.log = append(r.log, trace.Event{Kind: trace.EventFlow, Flow: f})
+}
+func (r *recorder) DNS(e dnssim.Entry) {
+	r.log = append(r.log, trace.Event{Kind: trace.EventDNS, DNS: e})
+}
+func (r *recorder) HTTPMeta(e httplog.Entry) {
+	r.log = append(r.log, trace.Event{Kind: trace.EventHTTP, HTTP: e})
+}
+func (r *recorder) Lease(l dhcp.Lease) {
+	r.log = append(r.log, trace.Event{Kind: trace.EventLease, Lease: l})
+}
+func (r *recorder) EventBatch(evs []trace.Event) { r.log = append(r.log, evs...) }
+func (r *recorder) Flush()                       { r.log = append(r.log, trace.Event{Kind: flushMark}) }
+
+// TestReplayRotatedDayMatchesTail pins that a one-day append and a daemon
+// epoch feed the pipeline one stream: for every day of a rotated dataset,
+// ReplayRotatedDay and that day of TailRotated deliver the identical event
+// sequence — same events, same order, same flushes — clean and under
+// seeded injection with a skip-policy guard.
+func TestReplayRotatedDayMatchesTail(t *testing.T) {
+	src := writeRotated(t)
+	writeSentinel(t, src)
+	days := listDays(t, src)
+	for _, inject := range []*faultline.Config{nil, {Seed: 3, Rate: 0.01}} {
+		opts := func() ReplayOptions {
+			return ReplayOptions{Guard: faultline.NewGuard(faultline.PolicySkip, 0, nil, nil), Inject: inject}
+		}
+		tail := &recorder{}
+		var perDay [][]trace.Event
+		err := TailRotated(src, tail, TailOptions{
+			ReplayOptions: opts(),
+			Poll:          tailPoll,
+			OnDaySealed: func(string, bool) {
+				perDay = append(perDay, tail.log)
+				tail.log = nil
+			},
+		})
+		if err != nil {
+			t.Fatalf("tail: %v", err)
+		}
+		if len(perDay) != len(days) {
+			t.Fatalf("tail sealed %d days, want %d", len(perDay), len(days))
+		}
+		for i, day := range days {
+			one := &recorder{}
+			if err := ReplayRotatedDay(src, day, one, opts()); err != nil {
+				t.Fatalf("day %s: %v", day, err)
+			}
+			want := perDay[i]
+			if len(want) == 0 {
+				t.Fatalf("day %s: empty tail stream", day)
+			}
+			for j := 0; j < len(one.log) || j < len(want); j++ {
+				if j >= len(one.log) || j >= len(want) || !reflect.DeepEqual(one.log[j], want[j]) {
+					t.Fatalf("inject=%v day %s: streams diverge at event %d of %d (replay) / %d (tail)",
+						inject != nil, day, j, len(one.log), len(want))
+				}
+			}
 		}
 	}
 }

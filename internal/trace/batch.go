@@ -32,13 +32,19 @@ type Event struct {
 // BatchSink is an optional fast path a Sink may implement. A producer
 // that finds the interface delivers events through EventBatch in runs
 // instead of one interface call per event, and calls Flush at stream
-// boundaries (end of a trace day, end of input). The contract mirrors
-// the per-event methods exactly:
+// boundaries (end of a trace day, a UTC day rollover in a replay, end of
+// input). The contract mirrors the per-event methods exactly:
 //
-//   - events arrive in the same global order the Sink methods would see
-//     them (leases first within a day, then flows/DNS/HTTP in time order);
+//   - events arrive in the same order the Sink methods would see them,
+//     which depends on the producer: the generator delivers each day's
+//     leases first, then its flows/DNS/HTTP in time order; a one-day log
+//     replay (logsink.ReplayRotatedDay, and each day of the live tail)
+//     delivers one timestamp merge of all four streams, ties going to
+//     leases, then DNS, then flows, then HTTP; a whole-dataset replay
+//     delivers every lease first, then the traffic in that merge order;
 //   - each event is delivered exactly once, through exactly one path —
-//     a producer never mixes EventBatch and per-event calls in one stream;
+//     a producer never mixes EventBatch and per-event calls in one stream
+//     (every logsink replay sends all four streams through one Batcher);
 //   - the slice and its events are only valid for the duration of the
 //     call: a sink must copy anything it retains;
 //   - after Flush returns, every event delivered so far must be visible
